@@ -14,6 +14,10 @@
 //!   exact-unit diagonal entries are skipped entirely;
 //! * [`KernelClass::Permutation`] — classical bit-shuffles (`X`, `CX`,
 //!   `CCX`, `SWAP`, `CSWAP`): pure amplitude moves, no arithmetic;
+//! * [`KernelClass::Monomial`] — `k ≥ 2` matrices with exactly one nonzero
+//!   per row and column that are not 0/1 permutations (scaled two-qubit
+//!   Paulis such as the depolarizing Kraus operators, `CY`): one move and
+//!   one multiply per amplitude instead of `2ᵏ`;
 //! * [`KernelClass::Generic`] — the dense fallback, with its gather
 //!   offsets precomputed and its scratch buffer caller-provided;
 //! * [`KernelClass::Fused`] — a run of adjacent single-qubit or
@@ -61,6 +65,8 @@ pub enum KernelClass {
     Diagonal,
     /// Pure amplitude permutation.
     Permutation,
+    /// Scaled permutation: one nonzero per row and column.
+    Monomial,
     /// Dense matrix fallback.
     Generic,
     /// A fused run of single-qubit or same-tuple diagonal kernels.
@@ -68,12 +74,37 @@ pub enum KernelClass {
 }
 
 impl KernelClass {
+    /// Every class, in declaration (and histogram) order.
+    const ALL: [KernelClass; 6] = [
+        KernelClass::Single,
+        KernelClass::Diagonal,
+        KernelClass::Permutation,
+        KernelClass::Monomial,
+        KernelClass::Generic,
+        KernelClass::Fused,
+    ];
+
+    /// Counts `classes` per class, in declaration order, omitting classes
+    /// that never occur — the `class_histogram` of compiled programs.
+    pub fn histogram(classes: impl IntoIterator<Item = KernelClass>) -> Vec<(KernelClass, usize)> {
+        let mut counts = [0usize; 6];
+        for class in classes {
+            counts[class as usize] += 1;
+        }
+        KernelClass::ALL
+            .into_iter()
+            .zip(counts)
+            .filter(|&(_, c)| c > 0)
+            .collect()
+    }
+
     /// Short lowercase name used in reports and benches.
     pub fn name(&self) -> &'static str {
         match self {
             KernelClass::Single => "single",
             KernelClass::Diagonal => "diagonal",
             KernelClass::Permutation => "permutation",
+            KernelClass::Monomial => "monomial",
             KernelClass::Generic => "generic",
             KernelClass::Fused => "fused",
         }
@@ -218,6 +249,14 @@ enum Body {
         offsets: Vec<usize>,
         gate_mask: usize,
     },
+    /// `k ≥ 2` scaled permutation: new sub-amplitude `r` is
+    /// `coef[r] · old[src[r]]`.
+    Monomial {
+        src: Vec<usize>,
+        coef: Vec<C64>,
+        offsets: Vec<usize>,
+        gate_mask: usize,
+    },
     /// Dense fallback with precomputed scatter offsets.
     Generic {
         matrix: CMatrix,
@@ -355,6 +394,66 @@ where
     });
 }
 
+/// The first `sub_dim` entries of the caller's reusable scratch, grown on
+/// demand; the re-slice keeps every index past `sub_dim` unreachable even
+/// when the caller hands an oversized buffer.
+fn sub_block_scratch(scratch: &mut Vec<C64>, sub_dim: usize) -> &mut [C64] {
+    if scratch.len() < sub_dim {
+        scratch.resize(sub_dim, C64::zero());
+    }
+    &mut scratch[..sub_dim]
+}
+
+/// Calls `f(base)` for every sub-block base of `gate_mask` in ascending
+/// order: the zero-bit positions of `gate_mask` counted up from 0.
+fn for_each_base(dim: usize, gate_mask: usize, mut f: impl FnMut(usize)) {
+    let mut base = 0usize;
+    loop {
+        f(base);
+        base = (base | gate_mask).wrapping_add(1) & !gate_mask;
+        if base == 0 || base >= dim {
+            break;
+        }
+    }
+}
+
+/// Runs `f(ptr, base, local)` over every sub-block base of `gate_mask`,
+/// split into contiguous per-thread base-ordinal ranges. `ptr` is the
+/// state's base pointer and `local` a private sub-block-sized scratch per
+/// worker, never shared across threads. `f` may touch only the indices
+/// `base | off` (`off` in `offsets`) of the sub-block it is handed: bases
+/// are disjoint index sets and every base goes to exactly one worker.
+fn par_block_loop<F>(state: &mut [C64], gate_mask: usize, offsets: &[usize], threads: usize, f: F)
+where
+    F: Fn(*mut C64, usize, &mut [C64]) + Sync,
+{
+    let sub_dim = offsets.len();
+    let dim = state.len();
+    let n_bases = dim / sub_dim;
+    let threads = threads.min(n_bases);
+    let chunk = n_bases.div_ceil(threads);
+    let ptr = SendPtr(state.as_mut_ptr());
+    std::thread::scope(|s| {
+        let ptr = &ptr;
+        let f = &f;
+        for t in 0..threads {
+            let start = t * chunk;
+            let end = n_bases.min(start + chunk);
+            if start >= end {
+                break;
+            }
+            s.spawn(move || {
+                let mut local = vec![C64::zero(); sub_dim];
+                let mut base = nth_base(start, gate_mask, dim);
+                for _ in start..end {
+                    f(ptr.0, base, &mut local);
+                    base = (base | gate_mask).wrapping_add(1) & !gate_mask;
+                }
+            });
+        }
+    });
+}
+
 impl Kernel {
     /// Lowers `gate` applied on `qubits` (gate order) of an `n`-qubit
     /// register. Arbitrary-unitary gates lower without cloning their
@@ -413,25 +512,31 @@ impl Kernel {
             } else {
                 Body::Diagonal { diag, shifts }
             }
-        } else if let Some(src) = as_permutation(matrix) {
-            Body::Permutation {
-                src,
-                offsets,
-                gate_mask,
-            }
-        } else if k == 1 {
-            Body::Single {
-                m00: matrix.get(0, 0),
-                m01: matrix.get(0, 1),
-                m10: matrix.get(1, 0),
-                m11: matrix.get(1, 1),
-                mask: gate_mask,
-            }
         } else {
-            Body::Generic {
-                matrix: matrix.clone(),
-                offsets,
-                gate_mask,
+            match as_monomial(matrix) {
+                Some((src, coef)) if coef.iter().all(|&c| exact_one(c)) => Body::Permutation {
+                    src,
+                    offsets,
+                    gate_mask,
+                },
+                _ if k == 1 => Body::Single {
+                    m00: matrix.get(0, 0),
+                    m01: matrix.get(0, 1),
+                    m10: matrix.get(1, 0),
+                    m11: matrix.get(1, 1),
+                    mask: gate_mask,
+                },
+                Some((src, coef)) => Body::Monomial {
+                    src,
+                    coef,
+                    offsets,
+                    gate_mask,
+                },
+                None => Body::Generic {
+                    matrix: matrix.clone(),
+                    offsets,
+                    gate_mask,
+                },
             }
         };
         Kernel { body, dim }
@@ -443,6 +548,7 @@ impl Kernel {
             Body::Single { .. } => KernelClass::Single,
             Body::Diag1 { .. } | Body::Diagonal { .. } => KernelClass::Diagonal,
             Body::Permutation { .. } => KernelClass::Permutation,
+            Body::Monomial { .. } => KernelClass::Monomial,
             Body::Generic { .. } => KernelClass::Generic,
             Body::Fused { .. } | Body::FusedDiag { .. } => KernelClass::Fused,
         }
@@ -696,46 +802,44 @@ impl Kernel {
                 offsets,
                 gate_mask,
             } => {
-                let sub_dim = offsets.len();
-                if scratch.len() < sub_dim {
-                    scratch.resize(sub_dim, C64::zero());
-                }
-                // Re-slice so no index past `sub_dim` is reachable even
-                // when the caller hands an oversized buffer.
-                let scratch = &mut scratch[..sub_dim];
+                let scratch = sub_block_scratch(scratch, offsets.len());
                 debug_assert!(
-                    src.iter().all(|&s| s < sub_dim),
+                    src.iter().all(|&s| s < offsets.len()),
                     "permutation source index outside the sub-block"
                 );
-                let mut base = 0usize;
-                loop {
+                for_each_base(self.dim, *gate_mask, |base| {
                     for (slot, &s) in scratch.iter_mut().zip(src.iter()) {
                         *slot = state[base | offsets[s]];
                     }
                     for (&off, &amp) in offsets.iter().zip(scratch.iter()) {
                         state[base | off] = amp;
                     }
-                    base = (base | gate_mask).wrapping_add(1) & !gate_mask;
-                    if base == 0 || base >= self.dim {
-                        break;
+                });
+            }
+            Body::Monomial {
+                src,
+                coef,
+                offsets,
+                gate_mask,
+            } => {
+                let scratch = sub_block_scratch(scratch, offsets.len());
+                for_each_base(self.dim, *gate_mask, |base| {
+                    for (slot, &s) in scratch.iter_mut().zip(src.iter()) {
+                        *slot = state[base | offsets[s]];
                     }
-                }
+                    for ((&off, &amp), &c) in offsets.iter().zip(scratch.iter()).zip(coef) {
+                        state[base | off] = c * amp;
+                    }
+                });
             }
             Body::Generic {
                 matrix,
                 offsets,
                 gate_mask,
             } => {
-                let sub_dim = offsets.len();
-                if scratch.len() < sub_dim {
-                    scratch.resize(sub_dim, C64::zero());
-                }
-                // Re-slice so the dense gather/accumulate below cannot
-                // read scratch beyond `sub_dim`.
-                let scratch = &mut scratch[..sub_dim];
-                debug_assert!(scratch.len() == sub_dim && matrix.rows() == sub_dim);
-                let mut base = 0usize;
-                loop {
+                let scratch = sub_block_scratch(scratch, offsets.len());
+                debug_assert!(matrix.rows() == scratch.len());
+                for_each_base(self.dim, *gate_mask, |base| {
                     for (slot, &off) in scratch.iter_mut().zip(offsets.iter()) {
                         *slot = state[base | off];
                     }
@@ -746,11 +850,7 @@ impl Kernel {
                         }
                         state[base | off] = acc;
                     }
-                    base = (base | gate_mask).wrapping_add(1) & !gate_mask;
-                    if base == 0 || base >= self.dim {
-                        break;
-                    }
-                }
+                });
             }
         }
     }
@@ -860,41 +960,35 @@ impl Kernel {
                 offsets,
                 gate_mask,
             } => {
-                let sub_dim = offsets.len();
-                let n_bases = self.dim / sub_dim;
-                let threads = threads.min(n_bases);
-                let chunk = n_bases.div_ceil(threads);
-                let dim = self.dim;
-                let ptr = SendPtr(state.as_mut_ptr());
-                std::thread::scope(|s| {
-                    let ptr = &ptr;
-                    for t in 0..threads {
-                        let start = t * chunk;
-                        let end = n_bases.min(start + chunk);
-                        if start >= end {
-                            break;
+                par_block_loop(state, *gate_mask, offsets, threads, |ptr, base, local| {
+                    // SAFETY: `par_block_loop` hands each base to exactly
+                    // one worker, and only the base's own indices
+                    // `base | off` are touched.
+                    unsafe {
+                        for (slot, &s) in local.iter_mut().zip(src.iter()) {
+                            *slot = *ptr.add(base | offsets[s]);
                         }
-                        s.spawn(move || {
-                            // Per-thread scratch: never shared across
-                            // workers (satisfying the aliasing contract).
-                            let mut local = vec![C64::zero(); sub_dim];
-                            let mut base = nth_base(start, *gate_mask, dim);
-                            for _ in start..end {
-                                // SAFETY: each base owns the index set
-                                // {base | off}, bases are disjoint across
-                                // ordinals, and each worker owns a
-                                // disjoint ordinal range.
-                                unsafe {
-                                    for (slot, &s) in local.iter_mut().zip(src.iter()) {
-                                        *slot = *ptr.0.add(base | offsets[s]);
-                                    }
-                                    for (&off, &amp) in offsets.iter().zip(local.iter()) {
-                                        *ptr.0.add(base | off) = amp;
-                                    }
-                                }
-                                base = (base | gate_mask).wrapping_add(1) & !gate_mask;
-                            }
-                        });
+                        for (&off, &amp) in offsets.iter().zip(local.iter()) {
+                            *ptr.add(base | off) = amp;
+                        }
+                    }
+                });
+            }
+            Body::Monomial {
+                src,
+                coef,
+                offsets,
+                gate_mask,
+            } => {
+                par_block_loop(state, *gate_mask, offsets, threads, |ptr, base, local| {
+                    // SAFETY: as in the permutation arm.
+                    unsafe {
+                        for (slot, &s) in local.iter_mut().zip(src.iter()) {
+                            *slot = *ptr.add(base | offsets[s]);
+                        }
+                        for ((&off, &amp), &c) in offsets.iter().zip(local.iter()).zip(coef) {
+                            *ptr.add(base | off) = c * amp;
+                        }
                     }
                 });
             }
@@ -903,43 +997,20 @@ impl Kernel {
                 offsets,
                 gate_mask,
             } => {
-                let sub_dim = offsets.len();
-                let n_bases = self.dim / sub_dim;
-                let threads = threads.min(n_bases);
-                let chunk = n_bases.div_ceil(threads);
-                let dim = self.dim;
-                let ptr = SendPtr(state.as_mut_ptr());
-                std::thread::scope(|s| {
-                    let ptr = &ptr;
-                    for t in 0..threads {
-                        let start = t * chunk;
-                        let end = n_bases.min(start + chunk);
-                        if start >= end {
-                            break;
+                par_block_loop(state, *gate_mask, offsets, threads, |ptr, base, local| {
+                    // SAFETY: as in the permutation arm; the accumulation
+                    // order is the sequential dense path's.
+                    unsafe {
+                        for (slot, &off) in local.iter_mut().zip(offsets.iter()) {
+                            *slot = *ptr.add(base | off);
                         }
-                        s.spawn(move || {
-                            // Per-thread scratch, same accumulation order
-                            // as the sequential dense path.
-                            let mut local = vec![C64::zero(); sub_dim];
-                            let mut base = nth_base(start, *gate_mask, dim);
-                            for _ in start..end {
-                                // SAFETY: disjoint base index sets per
-                                // worker, as in the permutation arm.
-                                unsafe {
-                                    for (slot, &off) in local.iter_mut().zip(offsets.iter()) {
-                                        *slot = *ptr.0.add(base | off);
-                                    }
-                                    for (r, &off) in offsets.iter().enumerate() {
-                                        let mut acc = C64::zero();
-                                        for (c, &amp) in local.iter().enumerate() {
-                                            acc += matrix.get(r, c) * amp;
-                                        }
-                                        *ptr.0.add(base | off) = acc;
-                                    }
-                                }
-                                base = (base | gate_mask).wrapping_add(1) & !gate_mask;
+                        for (r, &off) in offsets.iter().enumerate() {
+                            let mut acc = C64::zero();
+                            for (c, &amp) in local.iter().enumerate() {
+                                acc += matrix.get(r, c) * amp;
                             }
-                        });
+                            *ptr.add(base | off) = acc;
+                        }
                     }
                 });
             }
@@ -1123,20 +1194,21 @@ fn is_diagonal(m: &CMatrix) -> bool {
     true
 }
 
-/// When `m` is an exact 0/1 permutation matrix, returns `src` with
-/// `src[r] = c` for the unique `c` with `m[r][c] = 1`; `None` otherwise.
-fn as_permutation(m: &CMatrix) -> Option<Vec<usize>> {
+/// When `m` has exactly one nonzero entry per row, in distinct columns,
+/// returns `(src, coef)` with `m[r][src[r]] = coef[r]` the row's nonzero;
+/// `None` otherwise. A 0/1 permutation matrix has every `coef` exactly one.
+fn as_monomial(m: &CMatrix) -> Option<(Vec<usize>, Vec<C64>)> {
     let d = m.rows();
     let mut src = Vec::with_capacity(d);
+    let mut coef = Vec::with_capacity(d);
     let mut used = vec![false; d];
     for r in 0..d {
         let mut found: Option<usize> = None;
         for c in 0..d {
-            let z = m.get(r, c);
-            if exact_zero(z) {
+            if exact_zero(m.get(r, c)) {
                 continue;
             }
-            if !exact_one(z) || found.is_some() {
+            if found.is_some() {
                 return None;
             }
             found = Some(c);
@@ -1147,8 +1219,9 @@ fn as_permutation(m: &CMatrix) -> Option<Vec<usize>> {
         }
         used[c] = true;
         src.push(c);
+        coef.push(m.get(r, c));
     }
-    Some(src)
+    Some((src, coef))
 }
 
 #[cfg(test)]
@@ -1413,8 +1486,13 @@ mod tests {
         assert_eq!(KernelClass::Single.name(), "single");
         assert_eq!(KernelClass::Diagonal.name(), "diagonal");
         assert_eq!(KernelClass::Permutation.name(), "permutation");
+        assert_eq!(KernelClass::Monomial.name(), "monomial");
         assert_eq!(KernelClass::Generic.name(), "generic");
         assert_eq!(KernelClass::Fused.name(), "fused");
+        // `histogram` indexes its counts by discriminant.
+        for (i, &class) in KernelClass::ALL.iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
     }
 
     /// Fused single-qubit chains must be bit-for-bit equal to applying
@@ -1651,5 +1729,135 @@ mod tests {
             ConjugationPair::for_gate(&Gate::H, &[0], 2).class(),
             KernelClass::Single
         );
+    }
+    /// The 16 two-qubit depolarizing Kraus operators `√w · (P ⊗ Q)`.
+    fn scaled_pauli_pairs(w: f64) -> Vec<CMatrix> {
+        let paulis = [Gate::I, Gate::X, Gate::Y, Gate::Z].map(|g| g.matrix());
+        let mut ops = Vec::new();
+        for a in &paulis {
+            for b in &paulis {
+                ops.push(a.kron(b).scale(C64::from(w.sqrt())));
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn scaled_paulis_lower_to_monomial_and_permutations_stay() {
+        let n = 3;
+        let classes: Vec<KernelClass> = scaled_pauli_pairs(0.01 / 16.0)
+            .iter()
+            .map(|k| Kernel::from_matrix(k, &[2, 0], n).class())
+            .collect();
+        // II, IZ, ZI, ZZ are diagonal; the other twelve are monomial.
+        for (i, class) in classes.iter().enumerate() {
+            let diagonal = [0, 3, 12, 15].contains(&i);
+            let expect = if diagonal {
+                KernelClass::Diagonal
+            } else {
+                KernelClass::Monomial
+            };
+            assert_eq!(*class, expect, "Pauli pair {i}");
+        }
+        // Unscaled 0/1 permutations keep their move-only class, and k = 1
+        // scaled Paulis keep the butterfly.
+        for (gate, qubits) in [(Gate::Cx, vec![0, 1]), (Gate::Swap, vec![2, 1])] {
+            let k = Kernel::for_gate(&gate, &qubits, n);
+            assert_eq!(k.class(), KernelClass::Permutation);
+        }
+        let xx = Gate::X.matrix().kron(&Gate::X.matrix());
+        assert_eq!(
+            Kernel::from_matrix(&xx, &[0, 2], n).class(),
+            KernelClass::Permutation
+        );
+        let scaled_x = Gate::X.matrix().scale(C64::from(0.1));
+        assert_eq!(
+            Kernel::from_matrix(&scaled_x, &[1], n).class(),
+            KernelClass::Single
+        );
+        assert_eq!(
+            Kernel::for_gate(&Gate::Cy, &[0, 1], n).class(),
+            KernelClass::Monomial
+        );
+        assert_eq!(Kernel::for_gate(&Gate::Cy, &[0, 1], n).as_clifford(), None);
+    }
+
+    /// The same matrix lowered to the dense fallback body.
+    fn as_generic(kernel: &Kernel, matrix: &CMatrix) -> Kernel {
+        let Body::Monomial {
+            offsets, gate_mask, ..
+        } = &kernel.body
+        else {
+            panic!("expected a monomial kernel");
+        };
+        Kernel {
+            body: Body::Generic {
+                matrix: matrix.clone(),
+                offsets: offsets.clone(),
+                gate_mask: *gate_mask,
+            },
+            dim: kernel.dim,
+        }
+    }
+
+    /// `Monomial` must agree with the dense embedding, and with the
+    /// `Generic` body up to the sign of zero (`==` on `f64` treats `±0.0`
+    /// as equal and nothing else).
+    #[test]
+    fn monomial_matches_embed_and_generic() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let n = 5;
+        let dim = 1 << n;
+        let mut ops = scaled_pauli_pairs(0.3);
+        ops.push(Gate::Cy.matrix());
+        ops.push(
+            Gate::Ccx
+                .matrix()
+                .scale(C64::new(0.6, -0.8))
+                .mul(&Gate::Ccz.matrix())
+                .unwrap(),
+        );
+        let mut scratch = Vec::new();
+        for m in &ops {
+            let k = (m.rows() as f64).log2() as usize;
+            let qubits = distinct_qubits(&mut rng, k, n);
+            let kernel = Kernel::from_matrix(m, &qubits, n);
+            if kernel.class() != KernelClass::Monomial {
+                continue;
+            }
+            let state = random_state(&mut rng, dim);
+            let mut fast = state.clone().into_inner();
+            kernel.apply(&mut fast, &mut scratch);
+            let slow = embed(m, &qubits, n).mul_vec(&state);
+            assert!(CVector::new(fast.clone()).approx_eq(&slow, 1e-12));
+            let mut dense = state.into_inner();
+            as_generic(&kernel, m).apply(&mut dense, &mut scratch);
+            assert_eq!(fast, dense, "monomial on {qubits:?} drifted from generic");
+        }
+    }
+
+    /// Threaded `Monomial` sweeps are bitwise equal to the sequential one.
+    #[test]
+    fn threaded_monomial_matches_sequential_bitwise() {
+        let mut rng = StdRng::seed_from_u64(62);
+        let n = PARALLEL_THRESHOLD_QUBITS + 1;
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (i, m) in scaled_pauli_pairs(0.2).iter().enumerate().skip(1) {
+            let qubits = distinct_qubits(&mut rng, 2, n);
+            let kernel = Kernel::from_matrix(m, &qubits, n);
+            if kernel.class() != KernelClass::Monomial {
+                continue;
+            }
+            let state = random_state(&mut rng, 1 << n).into_inner();
+            let mut seq = state.clone();
+            kernel.apply(&mut seq, &mut Vec::new());
+            for threads in [2usize, 4] {
+                let mut par = state.clone();
+                kernel.apply_threaded(&mut par, &mut Vec::new(), threads);
+                assert_eq!(bits(&seq), bits(&par), "pair {i} at {threads} threads");
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! processes, with all coordination through a crash-safe run directory:
 //!
 //! * [`rundir`] — the shared state: a `manifest.json` describing the sweep
-//!   (written once, temp+rename), an `O_EXCL` lease file per unit, one
+//!   (written once, temp+rename), an exclusive lease file per unit, one
 //!   checksummed append-only JSONL record stream per worker pid, per-unit
 //!   attempt markers, and an atomically replaced `progress.json`;
 //! * [`lease`] — the claim-file format: owner pid plus a heartbeat mtime,

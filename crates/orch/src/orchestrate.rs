@@ -140,14 +140,17 @@ impl EpochOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`OrchError`] on scan or progress-write failure. Worker
+/// Returns [`OrchError`] on scan, progress-write or replacement-spawn
+/// failure, after killing and reaping every worker still running. Worker
 /// failures are *not* errors — they are reported in the outcome so the
 /// caller can decide between "resume will finish this" and "done".
 pub fn monitor_workers(
     dir: &RunDir,
     manifest: &Manifest,
-    mut children: Vec<Child>,
+    children: Vec<Child>,
 ) -> Result<EpochOutcome, OrchError> {
+    let mut workers = Workers(children);
+    let children = &mut workers.0;
     let started = Instant::now();
     let mut point_elapsed: Vec<Option<f64>> = vec![None; manifest.labels.len()];
     let mut point_done: Vec<usize> = vec![0; manifest.labels.len()];
@@ -170,7 +173,7 @@ pub fn monitor_workers(
         });
 
         let mut state = dir.scan(manifest)?;
-        let killed = police_leases(dir, manifest, &mut children, &state)?;
+        let killed = police_leases(dir, manifest, children, &state)?;
         if killed > 0 {
             workers_failed += killed;
             // Reclaims released leases; rescan so progress reflects it.
@@ -209,6 +212,19 @@ pub fn monitor_workers(
             });
         }
         std::thread::sleep(MONITOR_INTERVAL);
+    }
+}
+
+/// Worker processes that are killed and reaped when dropped, so no error
+/// return (or panic) out of [`monitor_workers`] leaves workers running.
+struct Workers(Vec<Child>);
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
     }
 }
 
@@ -431,6 +447,22 @@ mod tests {
         let outcome = run_threaded(&dir, &m, 2, &healthy, &no_quarantine).unwrap();
         assert!(outcome.complete(&m));
         assert_eq!(outcome.workers_failed, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// An error out of the monitor (here a scan of a run dir whose claims
+    /// directory vanished) must kill and reap every worker it was handed.
+    #[test]
+    fn monitor_error_kills_and_reaps_its_workers() {
+        let root = tmpdir("monitor-error");
+        let m = manifest();
+        let dir = RunDir::init(&root, &m).unwrap();
+        fs::remove_dir_all(root.join("claims")).unwrap();
+        let child = Command::new("sleep").arg("60").spawn().unwrap();
+        let pid = child.id();
+        assert!(monitor_workers(&dir, &m, vec![child]).is_err());
+        // Reaped: the pid no longer names a process (not even a zombie).
+        assert!(!std::path::Path::new(&format!("/proc/{pid}")).exists());
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! <dir>/manifest.json      what to run (written once, temp+rename)
-//! <dir>/claims/u<ID>       unit leases (O_EXCL create; pid + heartbeat mtime)
+//! <dir>/claims/u<ID>       unit leases (hard-linked whole; pid + heartbeat mtime)
 //! <dir>/attempts/u<ID>.<N> one marker per failed attempt (content = reason)
 //! <dir>/results/w<PID>.jsonl  one append-only record stream per worker
 //! <dir>/progress.json      latest progress snapshot (temp+rename)
@@ -13,10 +13,10 @@
 //!
 //! Crash safety rests on four properties. The manifest and progress
 //! snapshots are written to a temporary name and atomically renamed, so a
-//! reader never observes a torn file. Claims are leases created with
-//! `O_EXCL` (one winner per unit) carrying the owner's pid and a heartbeat
-//! mtime, and persist for the whole run epoch, so a unit is never executed
-//! twice concurrently. Each worker appends complete JSONL lines to its
+//! reader never observes a torn file. Claims are leases hard-linked into
+//! place whole (one winner per unit) carrying the owner's pid and a
+//! heartbeat mtime, and persist for the whole run epoch, so a unit is
+//! never executed twice concurrently. Each worker appends complete JSONL lines to its
 //! **own** results file — named after its pid so a resumed run never
 //! appends to a dead worker's stream — and a kill mid-write can only tear
 //! the final, unterminated line, which [`RunDir::scan`] ignores. Finally,
@@ -319,9 +319,9 @@ impl RunDir {
     }
 
     /// Tries to claim `unit` for execution, acquiring its lease (pid +
-    /// heartbeat mtime). Exactly one caller per run epoch wins (`O_EXCL`
-    /// create); the lease persists until the monitor reclaims the unit or
-    /// the claims are cleared by the next resume.
+    /// heartbeat mtime). Exactly one caller per run epoch wins (an
+    /// exclusive hard link); the lease persists until the monitor reclaims
+    /// the unit or the claims are cleared by the next resume.
     pub fn claim(&self, unit: usize) -> bool {
         lease::acquire(&self.claim_path(unit))
     }
@@ -404,11 +404,11 @@ impl RunDir {
     }
 
     /// Removes leases of units without a completed record (a killed
-    /// worker's leftovers), recording one attempt per *abandoned* lease —
-    /// one whose owner did not mark it failed (a failed lease's attempt
-    /// was already recorded by its owner). Must only be called while no
-    /// workers are running — `sweep resume` and the epoch retry loop do
-    /// this before respawning.
+    /// worker's leftovers) and leftover lease temp files, recording one
+    /// attempt per *abandoned* lease — one whose owner did not mark it
+    /// failed (a failed lease's attempt was already recorded by its
+    /// owner). Must only be called while no workers are running — `sweep
+    /// resume` and the epoch retry loop do this before respawning.
     ///
     /// # Errors
     ///
@@ -419,6 +419,11 @@ impl RunDir {
         let entries = fs::read_dir(&dir).map_err(|e| io_err("listing", &dir, e))?;
         for entry in entries {
             let entry = entry.map_err(|e| io_err("listing", &dir, e))?;
+            if lease::is_temp(&entry.file_name()) {
+                // A claimer died between writing its lease and linking it.
+                fs::remove_file(entry.path()).map_err(|e| io_err("removing", &entry.path(), e))?;
+                continue;
+            }
             let Some(unit) = claim_unit_id(&entry.file_name()) else {
                 continue;
             };
@@ -839,10 +844,17 @@ mod tests {
         assert!(dir.claim(7));
         let lease = dir.lease(7).unwrap();
         assert_eq!(lease.pid, std::process::id());
+        // A claimer that died between writing its lease temp file and
+        // linking it leaves the temp file behind: not a claim, but swept.
+        let temp = root.join("claims").join(".lease-u9-1-0");
+        fs::write(&temp, "1\n").unwrap();
+        let in_flight = dir.scan(&manifest()).unwrap().in_flight;
+        assert!(!in_flight.contains(&9), "a temp file is not a claim");
         // Unit 3 completed, 7 did not: only 7's claim is stale, and its
         // abandoned lease costs the unit one attempt.
         let completed = BTreeSet::from([3]);
         assert_eq!(dir.clear_stale_claims(&completed).unwrap(), 1);
+        assert!(!temp.exists(), "leftover lease temp file was swept");
         assert!(!dir.claim(3), "completed unit keeps its claim");
         assert!(dir.claim(7), "stale claim was cleared");
         assert_eq!(dir.attempt_count(7), 1);

@@ -596,7 +596,7 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
     // currently checked in, restored after each use by re-zeroing only the
     // pattern of what the kernel produced.
     let mut stage: Option<Vec<C64>> = None;
-    for op in &program.ops()[program.prefix_len()..] {
+    for op in program.ops() {
         match op {
             DensityOp::Conjugate { pair, touched } => {
                 for b in &mut branches {

@@ -230,33 +230,11 @@ impl CompiledProgram {
 
     /// Histogram of kernel specialization classes, for perf introspection.
     pub fn class_histogram(&self) -> Vec<(KernelClass, usize)> {
-        let mut counts = [0usize; 5];
-        for op in &self.ops {
-            let class = match op {
-                ExecOp::Apply(k) => k.class(),
-                ExecOp::Measure { .. } => continue,
-                ExecOp::Reset { flip, .. } => flip.class(),
-            };
-            let slot = match class {
-                KernelClass::Single => 0,
-                KernelClass::Diagonal => 1,
-                KernelClass::Permutation => 2,
-                KernelClass::Generic => 3,
-                KernelClass::Fused => 4,
-            };
-            counts[slot] += 1;
-        }
-        [
-            KernelClass::Single,
-            KernelClass::Diagonal,
-            KernelClass::Permutation,
-            KernelClass::Generic,
-            KernelClass::Fused,
-        ]
-        .into_iter()
-        .zip(counts)
-        .filter(|&(_, c)| c > 0)
-        .collect()
+        KernelClass::histogram(self.ops.iter().filter_map(|op| match op {
+            ExecOp::Apply(k) => Some(k.class()),
+            ExecOp::Measure { .. } => None,
+            ExecOp::Reset { flip, .. } => Some(flip.class()),
+        }))
     }
 
     /// Number of original gate kernels folded away by fusion: the sum of

@@ -17,7 +17,12 @@
 //! * the leading measurement-free run (gates *and* their noise channels —
 //!   density evolution is deterministic, so the whole run is cacheable) is
 //!   evolved eagerly at compile time and stored, the density analogue of
-//!   [`crate::exec::CompiledProgram`]'s unitary prefix cache.
+//!   [`crate::exec::CompiledProgram`]'s unitary prefix cache. It evolves
+//!   over only the qubits an op has touched so far — a qubit no op has
+//!   touched is still exactly `|0⟩`, so every `vec(ρ)` entry with its row
+//!   or column bit set is an exact zero the full-width sweep would only
+//!   carry along — and widens to all `n` qubits once at the end. Prefix
+//!   ops are lowered only on that compact register.
 //!
 //! Lowering consumes no randomness and kernel arithmetic matches the dense
 //! walker up to the sign of zero, so compiled runs are bit-for-bit
@@ -29,7 +34,7 @@ use crate::noise::{KrausChannel, NoiseModel};
 use crate::SimError;
 use qra_circuit::kernel::{ConjugationPair, KernelClass, PairScratch};
 use qra_circuit::{Circuit, Gate, Operation};
-use qra_math::C64;
+use qra_math::{CMatrix, C64};
 
 /// Maximum width of the compiled density engine. `vec(ρ)` holds `4ⁿ`
 /// amplitudes (256 MiB at `n = 12`); the former dense-superoperator walker
@@ -84,6 +89,131 @@ pub(crate) enum DensityOp {
     },
 }
 
+impl DensityOp {
+    /// The conjugation pairs the op applies (none for a measurement).
+    fn pairs(&self) -> &[ConjugationPair] {
+        match self {
+            DensityOp::Conjugate { pair, .. } => std::slice::from_ref(pair),
+            DensityOp::Channel { pairs, .. } => pairs,
+            DensityOp::Measure { .. } => &[],
+            DensityOp::Reset { flip, .. } => std::slice::from_ref(flip),
+        }
+    }
+}
+
+/// The noise model's Kraus channels, built once per compile; `None` for a
+/// zero-probability channel (no op emitted, like the interpreter's
+/// `apply_channel_opt` no-op path).
+struct Channels {
+    depol1: Option<KrausChannel>,
+    depol2: Option<KrausChannel>,
+    damp1: Option<KrausChannel>,
+    damp2: Option<KrausChannel>,
+    deph: Option<KrausChannel>,
+}
+
+impl Channels {
+    fn new(noise: &NoiseModel) -> Result<Channels, SimError> {
+        Ok(Channels {
+            depol1: build_channel(noise.depol_1q, KrausChannel::depolarizing_1q)?,
+            depol2: build_channel(noise.depol_2q, KrausChannel::depolarizing_2q)?,
+            damp1: build_channel(noise.damping_1q, KrausChannel::amplitude_damping)?,
+            damp2: build_channel(noise.damping_2q, KrausChannel::amplitude_damping)?,
+            deph: build_channel(noise.dephasing, KrausChannel::phase_damping)?,
+        })
+    }
+}
+
+/// One instruction or noise site before lowering, on circuit qubits.
+enum Step<'a> {
+    Gate(&'a Gate, &'a [usize]),
+    Channel(&'a [CMatrix], &'a [usize]),
+    Measure { qubit: usize, clbit: usize },
+    Reset(usize),
+}
+
+impl Step<'_> {
+    fn qubits(&self) -> &[usize] {
+        match self {
+            Step::Gate(_, qubits) | Step::Channel(_, qubits) => qubits,
+            Step::Measure { qubit, .. } | Step::Reset(qubit) => std::slice::from_ref(qubit),
+        }
+    }
+
+    /// Lowers the step onto an `n`-qubit register holding circuit qubit
+    /// `q` at position `pos[q]`.
+    fn lower(&self, n: usize, pos: &[usize]) -> DensityOp {
+        let qubits: Vec<usize> = self.qubits().iter().map(|&q| pos[q]).collect();
+        let touched = touched_bits(&qubits, n);
+        // Measure and reset act on one qubit: `touched` is its bit pair.
+        let row_mask = touched & !((1usize << n) - 1);
+        let col_mask = touched & ((1usize << n) - 1);
+        match self {
+            Step::Gate(g, _) => DensityOp::Conjugate {
+                pair: ConjugationPair::for_gate(g, &qubits, n),
+                touched,
+            },
+            Step::Channel(operators, _) => DensityOp::Channel {
+                pairs: operators
+                    .iter()
+                    .map(|k| ConjugationPair::lower(k, &qubits, n))
+                    .collect(),
+                touched,
+            },
+            Step::Measure { clbit, .. } => DensityOp::Measure {
+                row_mask,
+                col_mask,
+                clbit_bit: 1u64 << clbit,
+            },
+            Step::Reset(_) => DensityOp::Reset {
+                row_mask,
+                col_mask,
+                flip: ConjugationPair::for_gate(&Gate::X, &qubits, n),
+            },
+        }
+    }
+}
+
+/// The circuit's instructions interleaved with their noise sites, in the
+/// interpreter's site order exactly: gates wider than two qubits get
+/// pairwise two-qubit depolarizing on consecutive qubit pairs.
+fn steps<'a>(circuit: &'a Circuit, ch: &'a Channels) -> Vec<Step<'a>> {
+    let mut steps = Vec::new();
+    let push_channel = |steps: &mut Vec<Step<'a>>, c: &'a Option<KrausChannel>, qs| {
+        if let Some(c) = c {
+            steps.push(Step::Channel(c.operators(), qs));
+        }
+    };
+    for inst in circuit.instructions() {
+        let qs = inst.qubits.as_slice();
+        match &inst.operation {
+            Operation::Barrier => {}
+            Operation::Gate(g) => {
+                steps.push(Step::Gate(g, qs));
+                if qs.len() == 1 {
+                    push_channel(&mut steps, &ch.depol1, qs);
+                    push_channel(&mut steps, &ch.damp1, qs);
+                    push_channel(&mut steps, &ch.deph, qs);
+                } else {
+                    for pair in qs.windows(2) {
+                        push_channel(&mut steps, &ch.depol2, pair);
+                    }
+                    for q in qs.chunks(1) {
+                        push_channel(&mut steps, &ch.damp2, q);
+                        push_channel(&mut steps, &ch.deph, q);
+                    }
+                }
+            }
+            Operation::Measure => steps.push(Step::Measure {
+                qubit: qs[0],
+                clbit: inst.clbits[0],
+            }),
+            Operation::Reset => steps.push(Step::Reset(qs[0])),
+        }
+    }
+    steps
+}
+
 /// A [`Circuit`] + [`NoiseModel`] lowered for repeated exact density
 /// evolution.
 ///
@@ -110,11 +240,13 @@ pub(crate) enum DensityOp {
 pub struct CompiledDensityProgram {
     num_qubits: usize,
     num_clbits: usize,
+    /// The ops after the prefix, lowered at full width.
     ops: Vec<DensityOp>,
     /// `vec(ρ)` after the leading measurement-free run, evolved eagerly at
     /// compile time.
     prefix: Vec<C64>,
     prefix_len: usize,
+    class_histogram: Vec<(KernelClass, usize)>,
     readout_p01: f64,
     readout_p10: f64,
 }
@@ -147,106 +279,23 @@ impl CompiledDensityProgram {
             });
         }
 
-        // Lower each noise channel's Kraus set once; reused for every gate.
-        let depol1 = lower_channel(build_channel(
-            noise.depol_1q,
-            KrausChannel::depolarizing_1q,
-        )?);
-        let depol2 = lower_channel(build_channel(
-            noise.depol_2q,
-            KrausChannel::depolarizing_2q,
-        )?);
-        let damp1 = lower_channel(build_channel(
-            noise.damping_1q,
-            KrausChannel::amplitude_damping,
-        )?);
-        let damp2 = lower_channel(build_channel(
-            noise.damping_2q,
-            KrausChannel::amplitude_damping,
-        )?);
-        let deph = lower_channel(build_channel(noise.dephasing, KrausChannel::phase_damping)?);
-
-        let mut ops = Vec::new();
-        let push_channel =
-            |ops: &mut Vec<DensityOp>, ch: &Option<Vec<qra_math::CMatrix>>, qubits: &[usize]| {
-                if let Some(operators) = ch {
-                    ops.push(DensityOp::Channel {
-                        pairs: operators
-                            .iter()
-                            .map(|k| ConjugationPair::lower(k, qubits, n))
-                            .collect(),
-                        touched: touched_bits(qubits, n),
-                    });
-                }
-            };
-        for inst in circuit.instructions() {
-            match &inst.operation {
-                Operation::Barrier => {}
-                Operation::Gate(g) => {
-                    ops.push(DensityOp::Conjugate {
-                        pair: ConjugationPair::for_gate(g, &inst.qubits, n),
-                        touched: touched_bits(&inst.qubits, n),
-                    });
-                    // Gate-dependent noise, mirroring the interpreter's site
-                    // order exactly: gates wider than two qubits get pairwise
-                    // two-qubit depolarizing on consecutive qubit pairs.
-                    if inst.qubits.len() == 1 {
-                        push_channel(&mut ops, &depol1, &[inst.qubits[0]]);
-                        push_channel(&mut ops, &damp1, &[inst.qubits[0]]);
-                        push_channel(&mut ops, &deph, &[inst.qubits[0]]);
-                    } else {
-                        for pair in inst.qubits.windows(2) {
-                            push_channel(&mut ops, &depol2, pair);
-                        }
-                        for &q in &inst.qubits {
-                            push_channel(&mut ops, &damp2, &[q]);
-                            push_channel(&mut ops, &deph, &[q]);
-                        }
-                    }
-                }
-                Operation::Measure => {
-                    let q = inst.qubits[0];
-                    ops.push(DensityOp::Measure {
-                        row_mask: 1usize << (2 * n - 1 - q),
-                        col_mask: 1usize << (n - 1 - q),
-                        clbit_bit: 1u64 << inst.clbits[0],
-                    });
-                }
-                Operation::Reset => {
-                    let q = inst.qubits[0];
-                    ops.push(DensityOp::Reset {
-                        row_mask: 1usize << (2 * n - 1 - q),
-                        col_mask: 1usize << (n - 1 - q),
-                        flip: ConjugationPair::for_gate(&Gate::X, &[q], n),
-                    });
-                }
-            }
-        }
-        let prefix_len = ops
+        let channels = Channels::new(noise)?;
+        let steps = steps(circuit, &channels);
+        let prefix_len = steps
             .iter()
-            .position(|op| matches!(op, DensityOp::Measure { .. } | DensityOp::Reset { .. }))
-            .unwrap_or(ops.len());
-
-        // Evolve vec(|0…0⟩⟨0…0|) through the prefix once. Density evolution
-        // is deterministic, so every later execution can start here.
-        let dd = 1usize << (2 * n);
-        let mut prefix = vec![C64::zero(); dd];
-        prefix[0] = C64::one();
-        let mut scratch = PairScratch::default();
-        let mut term = Vec::new();
-        let mut acc = Vec::new();
-        for op in &ops[..prefix_len] {
-            match op {
-                DensityOp::Conjugate { pair, .. } => pair.apply(&mut prefix, &mut scratch),
-                DensityOp::Channel { pairs, .. } => {
-                    // Compile-time prefix evolution stays single-threaded:
-                    // it runs once per program, and lowering has no thread
-                    // configuration (results are identical either way).
-                    apply_channel_vec(&mut prefix, pairs, &mut term, &mut acc, &mut scratch, 1);
-                }
-                DensityOp::Measure { .. } | DensityOp::Reset { .. } => unreachable!(),
-            }
-        }
+            .position(|s| matches!(s, Step::Measure { .. } | Step::Reset(_)))
+            .unwrap_or(steps.len());
+        let mut classes = Vec::new();
+        let prefix = evolve_prefix(&steps[..prefix_len], n, &mut classes);
+        let identity: Vec<usize> = (0..n).collect();
+        let ops: Vec<DensityOp> = steps[prefix_len..]
+            .iter()
+            .map(|s| s.lower(n, &identity))
+            .collect();
+        classes.extend(
+            ops.iter()
+                .flat_map(|op| op.pairs().iter().map(|p| p.class())),
+        );
 
         Ok(CompiledDensityProgram {
             num_qubits: n,
@@ -254,6 +303,7 @@ impl CompiledDensityProgram {
             ops,
             prefix,
             prefix_len,
+            class_histogram: KernelClass::histogram(classes),
             readout_p01: noise.readout_p01,
             readout_p10: noise.readout_p10,
         })
@@ -276,7 +326,7 @@ impl CompiledDensityProgram {
 
     /// Number of lowered ops (gates + channels + measures + resets).
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.prefix_len + self.ops.len()
     }
 
     /// Length of the leading measurement-free run cached at compile time.
@@ -287,37 +337,10 @@ impl CompiledDensityProgram {
     /// Histogram of conjugation kernel classes (gates and Kraus operators),
     /// for perf introspection.
     pub fn class_histogram(&self) -> Vec<(KernelClass, usize)> {
-        let mut counts = [0usize; 5];
-        let mut bump = |class: KernelClass| {
-            counts[match class {
-                KernelClass::Single => 0,
-                KernelClass::Diagonal => 1,
-                KernelClass::Permutation => 2,
-                KernelClass::Generic => 3,
-                KernelClass::Fused => 4,
-            }] += 1;
-        };
-        for op in &self.ops {
-            match op {
-                DensityOp::Conjugate { pair, .. } => bump(pair.class()),
-                DensityOp::Channel { pairs, .. } => pairs.iter().for_each(|p| bump(p.class())),
-                DensityOp::Measure { .. } => {}
-                DensityOp::Reset { flip, .. } => bump(flip.class()),
-            }
-        }
-        [
-            KernelClass::Single,
-            KernelClass::Diagonal,
-            KernelClass::Permutation,
-            KernelClass::Generic,
-            KernelClass::Fused,
-        ]
-        .into_iter()
-        .zip(counts)
-        .filter(|&(_, c)| c > 0)
-        .collect()
+        self.class_histogram.clone()
     }
 
+    /// The ops after the prefix.
     pub(crate) fn ops(&self) -> &[DensityOp] {
         &self.ops
     }
@@ -335,11 +358,77 @@ impl CompiledDensityProgram {
     }
 }
 
-/// Borrows a built channel's Kraus operators for lowering, preserving
-/// `None` for zero-probability channels (no op emitted, like the
-/// interpreter's `apply_channel_opt` no-op path).
-fn lower_channel(channel: Option<KrausChannel>) -> Option<Vec<qra_math::CMatrix>> {
-    channel.map(|ch| ch.operators().to_vec())
+/// Evolves `vec(|0…0⟩⟨0…0|)` through the measurement-free `steps` over
+/// only the qubits a step has touched so far, pushing each lowered op's
+/// kernel classes onto `classes`, and returns the `n`-qubit `vec(ρ)`.
+///
+/// The compact register holds the touched circuit qubits in ascending
+/// order and starts empty (a 1-entry `vec(ρ)`); a step that touches a new
+/// qubit first widens it with that qubit in `|0⟩`. Every entry the compact
+/// register leaves out is an exact zero on the full-width path too, and
+/// every entry it keeps sees the same operands in the same order, so the
+/// result matches the full-width evolution up to the sign of zero.
+fn evolve_prefix(steps: &[Step<'_>], n: usize, classes: &mut Vec<KernelClass>) -> Vec<C64> {
+    let mut touched: Vec<usize> = Vec::new();
+    let mut pos = vec![usize::MAX; n];
+    let mut rho = vec![C64::one()];
+    let mut scratch = PairScratch::default();
+    let mut term = Vec::new();
+    let mut acc = Vec::new();
+    for step in steps {
+        if step.qubits().iter().any(|&q| pos[q] == usize::MAX) {
+            let mut wider = touched.clone();
+            wider.extend(step.qubits().iter().filter(|&&q| pos[q] == usize::MAX));
+            wider.sort_unstable();
+            rho = widen(&rho, &touched, &wider);
+            touched = wider;
+            for (i, &q) in touched.iter().enumerate() {
+                pos[q] = i;
+            }
+        }
+        let op = step.lower(touched.len(), &pos);
+        classes.extend(op.pairs().iter().map(|p| p.class()));
+        match &op {
+            DensityOp::Conjugate { pair, .. } => pair.apply(&mut rho, &mut scratch),
+            // Compile-time prefix evolution stays single-threaded: it runs
+            // once per program, and lowering has no thread configuration
+            // (results are identical either way).
+            DensityOp::Channel { pairs, .. } => {
+                apply_channel_vec(&mut rho, pairs, &mut term, &mut acc, &mut scratch, 1)
+            }
+            DensityOp::Measure { .. } | DensityOp::Reset { .. } => {
+                unreachable!("the prefix ends at the first measure or reset")
+            }
+        }
+    }
+    let all: Vec<usize> = (0..n).collect();
+    widen(&rho, &touched, &all)
+}
+
+/// Re-lays `vec(ρ)` over the ascending qubit list `from` out over the
+/// ascending superset `to`, the added qubits in `|0⟩`. On a register
+/// listing qubits `L`, `L[j]` owns row bit `2m−1−j` and column bit
+/// `m−1−j` (`m = |L|`), as in [`touched_bits`].
+fn widen(rho: &[C64], from: &[usize], to: &[usize]) -> Vec<C64> {
+    let (m, w) = (from.len(), to.len());
+    // spread[h]: a `from` half-index (row or column) as a `to` half-index.
+    let spread: Vec<usize> = (0..1usize << m)
+        .map(|h| {
+            from.iter()
+                .enumerate()
+                .filter(|&(j, _)| (h >> (m - 1 - j)) & 1 == 1)
+                .fold(0, |acc, (_, q)| {
+                    let at = to.binary_search(q).expect("`to` covers `from`");
+                    acc | (1 << (w - 1 - at))
+                })
+        })
+        .collect();
+    let low = (1usize << m) - 1;
+    let mut out = vec![C64::zero(); 1 << (2 * w)];
+    for (i, &z) in rho.iter().enumerate() {
+        out[(spread[i >> m] << w) | spread[i & low]] = z;
+    }
+    out
 }
 
 /// Applies a lowered Kraus channel to `vec_rho` in place:
@@ -397,10 +486,10 @@ mod tests {
         let p = CompiledDensityProgram::compile(&c, &noise).unwrap();
         // h: gate + depol1 + damp1 + deph; cx: gate + depol2 + 2×(damp2, deph).
         assert_eq!(p.op_count(), 4 + 6);
-        let kinds: Vec<bool> = p
-            .ops()
+        let channels = Channels::new(&noise).unwrap();
+        let kinds: Vec<bool> = steps(&c, &channels)
             .iter()
-            .map(|op| matches!(op, DensityOp::Channel { .. }))
+            .map(|s| matches!(s, Step::Channel(..)))
             .collect();
         assert_eq!(
             kinds,

@@ -305,3 +305,81 @@ fn thread_matrix_density_mid_circuit_is_bit_identical() {
         assert_eq!(base, counts, "threads = {threads}");
     }
 }
+
+/// A GHZ-4 SWAP-assertion-shaped cell: the four data qubits carry a noisy
+/// GHZ preparation while the four ancillas — interleaved with them, so the
+/// compact prefix register widens in the middle — stay untouched until
+/// the CXs that swap the data into them at the end, and only the ancillas
+/// are measured.
+fn late_ancilla_swap_cell() -> Circuit {
+    let data = [1usize, 2, 5, 6];
+    let ancillas = [0usize, 3, 4, 7];
+    let mut c = Circuit::with_clbits(8, 4);
+    c.h(data[0]);
+    for w in data.windows(2) {
+        c.cx(w[0], w[1]);
+    }
+    c.ry(0.3, data[2]);
+    for (&d, &a) in data.iter().zip(&ancillas) {
+        c.cx(d, a).cx(a, d);
+    }
+    for (i, &a) in ancillas.iter().enumerate() {
+        c.measure(a, i).unwrap();
+    }
+    c
+}
+
+#[test]
+fn late_ancilla_swap_cell_is_bit_identical() {
+    let c = late_ancilla_swap_cell();
+    for preset in [DevicePreset::LowNoise, DevicePreset::MelbourneLike] {
+        let sim = DensityMatrixSimulator::with_noise(preset.noise_model());
+        assert_identical(&sim, &c, 1024, 41, &format!("late-ancilla swap/{preset}"));
+    }
+}
+
+/// Threaded execution of the late-ancilla cell, and of the cell with a gate
+/// after its measurements (so threaded suffix kernels engage on the
+/// 8-qubit `vec(ρ)`), matches the single-threaded run in every observable.
+#[test]
+fn thread_matrix_late_ancilla_swap_cell_is_bit_identical() {
+    let mut tail = late_ancilla_swap_cell();
+    tail.h(1);
+    for c in [late_ancilla_swap_cell(), tail] {
+        for preset in [DevicePreset::LowNoise, DevicePreset::MelbourneLike] {
+            let base = DensityMatrixSimulator::with_noise(preset.noise_model());
+            let program = base.compile(&c).unwrap();
+            let counts = base.run_compiled(&program, 512, 43).unwrap();
+            let dist = base.outcome_distribution_compiled(&program).unwrap();
+            let rho = base.evolve_compiled(&program).unwrap();
+            for threads in [2usize, 4] {
+                let sim =
+                    DensityMatrixSimulator::with_noise(preset.noise_model()).with_threads(threads);
+                let ctx = format!("{preset}, threads = {threads}");
+                let run = sim.run_compiled(&program, 512, 43).unwrap();
+                assert_eq!(counts, run, "{ctx}: counts");
+                let run_dist = sim.outcome_distribution_compiled(&program).unwrap();
+                assert_eq!(dist, run_dist, "{ctx}: dist");
+                let run_rho = sim.evolve_compiled(&program).unwrap();
+                assert_eq!(rho.max_abs_diff(&run_rho), 0.0, "{ctx}: rho");
+            }
+        }
+    }
+}
+
+/// Qubit 2 is first touched after a measurement (a post-prefix op on the
+/// full-width register) and qubit 3 is never touched (left in `|0⟩` by
+/// the final widening of the compact prefix).
+#[test]
+fn late_and_untouched_qubits_are_bit_identical() {
+    let mut c = Circuit::with_clbits(4, 3);
+    c.h(0).cx(0, 1);
+    c.measure(0, 0).unwrap();
+    c.cx(1, 2).h(2);
+    c.measure(1, 1).unwrap();
+    c.measure(2, 2).unwrap();
+    for preset in [DevicePreset::LowNoise, DevicePreset::MelbourneLike] {
+        let sim = DensityMatrixSimulator::with_noise(preset.noise_model());
+        assert_identical(&sim, &c, 1024, 47, &format!("late/untouched {preset}"));
+    }
+}
